@@ -64,22 +64,16 @@ llcBytes()
 }
 
 /**
- * Process-wide probe tuning new tables are born with. The sysconf
- * guess seeds it; the adaptive plane (src/runtime/adaptive.h)
- * replaces it with a gate derived from *measured* probe cost, which
- * also repairs the llc_bytes == 0 "platform won't say" case the
- * one-shot detection cannot. Wall-clock-only state: it steers
- * prefetch and batch width, never results or simulated charges.
+ * Process-wide probe tuning new tables are born with, seeded from
+ * llcBytes(). setProbeTuning() overrides it so tests can force the
+ * prefetch gate either way on any host. Wall-clock-only state: it
+ * steers prefetch, never results or simulated charges.
  */
 struct ProbeTuning
 {
     /** Effective LLC capacity for the prefetch gate; 0 = unknown
      *  (gate stays off, scalar path). */
     uint64_t llc_bytes = 0;
-    /** Probe batch width B for new tables. */
-    uint32_t batch = 16;
-    /** True once a measurement (not the sysconf guess) set this. */
-    bool measured = false;
 };
 
 inline ProbeTuning &
@@ -138,7 +132,6 @@ class HashTable
         // Unknown capacity (llc_bytes == 0) keeps the gate off.
         const ProbeTuning &t = probeTuning();
         prefetch_ = t.llc_bytes > 0 && footprintBytes() > t.llc_bytes;
-        batch_ = std::min(std::max(t.batch, 1u), kMaxProbeBatch);
     }
 
     /**
@@ -192,27 +185,11 @@ class HashTable
         return const_cast<HashTable *>(this)->find(key);
     }
 
-    /** Default lookups software-pipelined per batch (see file
-     *  comment); the effective width is probeBatch(). */
+    /** Lookups software-pipelined per batch (see file comment). */
     static constexpr uint32_t kProbeBatch = 16;
-
-    /** Upper bound callers may size per-batch stack arrays with. */
-    static constexpr uint32_t kMaxProbeBatch = 32;
-
-    /** Effective probe batch width B (autotunable, <= kMaxProbeBatch). */
-    uint32_t probeBatch() const { return batch_; }
-
-    void
-    setProbeBatch(uint32_t b)
-    {
-        batch_ = std::min(std::max(b, 1u), kMaxProbeBatch);
-    }
 
     /** Whether batched probes group-prefetch (see file comment). */
     bool prefetchEnabled() const { return prefetch_; }
-
-    /** Override the prefetch gate (measured-cost adaptive path). */
-    void setPrefetch(bool on) { prefetch_ = on; }
 
     /** Issue the loads probing @p key will need (its home slot). */
     void
@@ -252,8 +229,8 @@ class HashTable
                 out[i] = find(keys[i]);
             return;
         }
-        for (uint32_t base = 0; base < n; base += batch_) {
-            const uint32_t b = std::min(batch_, n - base);
+        for (uint32_t base = 0; base < n; base += kProbeBatch) {
+            const uint32_t b = std::min(kProbeBatch, n - base);
             for (uint32_t l = 0; l < b; ++l)
                 prefetchKey(keys[base + l]);
             for (uint32_t l = 0; l < b; ++l)
@@ -281,8 +258,8 @@ class HashTable
                 visit(i, findOrInsert(keys[i]));
             return;
         }
-        for (uint32_t base = 0; base < n; base += batch_) {
-            const uint32_t b = std::min(batch_, n - base);
+        for (uint32_t base = 0; base < n; base += kProbeBatch) {
+            const uint32_t b = std::min(kProbeBatch, n - base);
             for (uint32_t l = 0; l < b; ++l)
                 prefetchKey(keys[base + l]);
             for (uint32_t l = 0; l < b; ++l)
@@ -334,7 +311,6 @@ class HashTable
     size_t mask_ = 0;
     size_t size_ = 0;
     bool prefetch_ = false;
-    uint32_t batch_ = kProbeBatch;
 };
 
 } // namespace sbhbm::algo

@@ -142,13 +142,12 @@ isSortedByKey(const KpEntry *e, size_t n)
  * Full merge-sort of @p n entries in place, using @p scratch (at
  * least n entries). Bitonic block sort followed by bottom-up merging.
  *
- * Adaptive: already-sorted input returns after one scan. Streaming
- * pipelines extract KPAs from time-ordered bundles, so sorting on the
- * timestamp column routinely sees fully sorted runs; random input
- * abandons the check at its first inversion, typically within a few
- * elements. Callers that have already proven the input unsorted (a
- * sampled inversion, or an adaptive policy that has watched this
- * stream) pass @p precheck false to skip the scan outright.
+ * Already-sorted input returns after one scan. Streaming pipelines
+ * extract KPAs from time-ordered bundles, so sorting on the timestamp
+ * column routinely sees fully sorted runs; random input abandons the
+ * check at its first inversion, typically within a few elements.
+ * Callers that have already run the scan themselves (kpa::sortKpa)
+ * pass @p precheck false so it is not repeated.
  *
  * The ping-pong parity is precomputed: with an odd number of merge
  * levels the block sort lands in scratch (each 1 KiB block is copied

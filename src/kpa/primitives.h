@@ -36,7 +36,6 @@
 #include "common/fast_divide.h"
 #include "columnar/bundle.h"
 #include "common/logging.h"
-#include "common/profiler.h"
 #include "common/worker_pool.h"
 #include "kpa/kpa.h"
 #include "mem/hybrid_memory.h"
@@ -71,16 +70,6 @@ struct Ctx
      * this never changes simulated results.
      */
     WorkerPool *pool = nullptr;
-
-    /**
-     * Adaptive kernel hooks (src/common/profiler.h), installed by
-     * pipeline::Operator::makeCtx when the engine's AdaptiveConfig is
-     * enabled; nullptr = adaptation off, kernels take their
-     * historical paths. The hooked decisions steer host-side work
-     * only — every simulated charge depends on sizes alone — so this
-     * pointer can never change a CostLog.
-     */
-    KernelAdapt *adapt = nullptr;
 
     /** Scale KPA-side traffic by group_scale. */
     uint64_t
@@ -384,13 +373,9 @@ updateKeysViaTable(Ctx ctx, Kpa &k, algo::HashTable<uint64_t> &table)
 {
     KpEntry *e = k.entries();
     const uint32_t n = k.size();
-    // Stack arrays sized for the widest batch; the loop steps by the
-    // table's (possibly autotuned) effective width B.
-    constexpr uint32_t kMaxB =
-        algo::HashTable<uint64_t>::kMaxProbeBatch;
-    const uint32_t kB = table.probeBatch();
-    uint64_t keys[kMaxB];
-    uint64_t *vals[kMaxB];
+    constexpr uint32_t kB = algo::HashTable<uint64_t>::kProbeBatch;
+    uint64_t keys[kB];
+    uint64_t *vals[kB];
     for (uint32_t base = 0; base < n; base += kB) {
         const uint32_t b = std::min(kB, n - base);
         for (uint32_t l = 0; l < b; ++l)
@@ -440,30 +425,12 @@ sortKpa(Ctx ctx, Kpa &k)
         return;
     const size_t n = k.size();
     if (n > 1) {
-        // Adaptive: skip the scratch allocation and the sort when the
-        // entries are already ordered (timestamp-extracted KPAs from
-        // in-order streams). The simulated machine still sorts — the
-        // charges below depend only on n, never on the host path.
-        //
-        // With hooks installed, the full O(n) presorted scan is
-        // screened first: a sampled inversion *proves* the input
-        // unsorted (the scan cannot succeed), and on streams whose
-        // sortedness EWMA has collapsed the policy turns the scan off
-        // outright. Either way the sort itself runs with its internal
-        // recheck disabled — this is the one place that checked.
-        bool precheck = true;
-        if (ctx.adapt != nullptr) {
-            KernelAdapt &a = *ctx.adapt;
-            ++a.sorts;
-            const double s = sampleSortedness(
-                k.entries(), static_cast<uint32_t>(n));
-            a.sort_sortedness.add(s, a.ewma_alpha);
-            precheck = s >= 1.0 && a.sort_precheck;
-        }
-        if (precheck && algo::isSortedByKey(k.entries(), n)) {
-            if (ctx.adapt != nullptr)
-                ++ctx.adapt->sorts_presorted;
-        } else {
+        // Skip the scratch allocation and the sort when the entries
+        // are already ordered (timestamp-extracted KPAs from in-order
+        // streams). The simulated machine still sorts — the charges
+        // below depend only on n, never on the host path. This scan
+        // is the only presorted check: the sort below skips its own.
+        if (!algo::isSortedByKey(k.entries(), n)) {
             // Scratch lives on the same tier while the sort runs.
             mem::Block scratch =
                 ctx.hm.alloc(n * sizeof(KpEntry), k.tier());
@@ -490,97 +457,6 @@ sortKpa(Ctx ctx, Kpa &k)
                        * static_cast<double>(n)
                    + cost::kMergeNsPerElem * static_cast<double>(n)
                          * levels);
-    }
-    k.setSorted(true);
-}
-
-/**
- * Sort, hash-scatter variant: establish sortKpa's postcondition (a
- * fully key-sorted KPA) by grouping instead of sorting — one hash
- * pass assigns every entry a dense group id, the G distinct group
- * keys are sorted, and a stable scatter lays the entries out in
- * group-key order. O(n + G log G) against sortKpa's O(n log n): the
- * adaptive grouping policy picks this variant on heavily duplicated
- * streams (G << n), where sorting n entries does n log n work to
- * discover an ordering only G keys wide.
- *
- * Within a key, entries land in arrival order, which differs from
- * the (unstable) bitonic network's order — callers must be
- * value-order-insensitive. Every shipped aggregation is (sum, count,
- * avg, median, topK, uniqueCount, percentile all commute over the
- * run), and the adaptive policy only routes KeyedAggOp streams here.
- *
- * Charges: the hash pass streams the KPA once and pays a random
- * grouping-state probe per entry; the G-key sort is charged exactly
- * as sortKpa charges G entries; the scatter pays the KPA read plus
- * write-allocate on the scratch it permutes into. Deterministic in
- * (n, G) — both functions of the input bytes alone.
- */
-inline void
-groupSortKpa(Ctx ctx, Kpa &k)
-{
-    if (k.sorted())
-        return;
-    const uint32_t n = k.size();
-    if (n > 1) {
-        KpEntry *e = k.entries();
-        // Hash pass: dense group ids in first-appearance order.
-        detail::RangeIndex index;
-        const auto ids = std::make_unique_for_overwrite<uint32_t[]>(n);
-        std::vector<std::pair<uint64_t, uint32_t>> groups; // key, count
-        for (uint32_t i = 0; i < n; ++i) {
-            const uint32_t d = index.findOrAssign(e[i].key);
-            if (d == groups.size())
-                groups.emplace_back(e[i].key, 0);
-            ++groups[d].second;
-            ids[i] = d;
-        }
-        const auto g = static_cast<uint32_t>(groups.size());
-
-        // Sort the G group keys, not the n entries.
-        std::vector<uint32_t> order(g);
-        for (uint32_t d = 0; d < g; ++d)
-            order[d] = d;
-        std::sort(order.begin(), order.end(),
-                  [&groups](uint32_t a, uint32_t b) {
-                      return groups[a].first < groups[b].first;
-                  });
-
-        // Stable scatter through per-group cursors, then copy back.
-        mem::Block scratch =
-            ctx.hm.alloc(uint64_t{n} * sizeof(KpEntry), k.tier());
-        auto *s = static_cast<KpEntry *>(scratch.ptr);
-        std::vector<KpEntry *> cursor(g);
-        {
-            KpEntry *c = s;
-            for (const uint32_t d : order) {
-                cursor[d] = c;
-                c += groups[d].second;
-            }
-        }
-        for (uint32_t i = 0; i < n; ++i)
-            *cursor[ids[i]]++ = e[i];
-        std::memcpy(e, s, uint64_t{n} * sizeof(KpEntry));
-        ctx.hm.free(scratch);
-
-        // Hash pass: stream the KPA, probe grouping state per entry.
-        ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,
-                      ctx.scaled(k.bytes()));
-        ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kRandom,
-                      uint64_t{n} * cost::kLineBytes);
-        // Group-key sort: sortKpa's formula over g elements.
-        const int levels = algo::mergeLevels(g);
-        ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,
-                      ctx.scaled(uint64_t(1 + levels)
-                                 * cost::kSortBytesPerElemLevel * g));
-        ctx.kernel(cost::kBitonicStages * cost::kBitonicNsPerElemStage
-                       * static_cast<double>(g)
-                   + cost::kMergeNsPerElem * static_cast<double>(g)
-                         * levels);
-        // Scatter: read the KPA, write-allocate the permuted copy.
-        ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,
-                      ctx.scaled(3 * k.bytes()));
-        ctx.log.cpu(cost::kHashProbeNs * static_cast<double>(n));
     }
     k.setSorted(true);
 }
@@ -840,28 +716,7 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
         return out.back().part.get();
     };
 
-    // Adaptive: the sorted() flag is conservative — key-swapped or
-    // restored KPAs can be physically ordered while flagged unsorted.
-    // When the policy has seen this stream arrive ordered (sortedness
-    // EWMA high) it probes: a clean sample justifies the O(n)
-    // confirmation scan, and a hit takes the contiguous-span fast
-    // path below. Host layout work only — outputs keep the input's
-    // *flag* (the trailing setSorted) and every charge depends only
-    // on sizes, so downstream behavior and CostLogs are unchanged.
-    bool span_layout = src.sorted();
-    if (ctx.adapt != nullptr && n > 1) {
-        KernelAdapt &a = *ctx.adapt;
-        ++a.partitions;
-        const double s = sampleSortedness(e, n);
-        a.partition_sortedness.add(s, a.ewma_alpha);
-        if (!span_layout && a.partition_sorted_scan && s >= 1.0
-            && algo::isSortedByKey(e, n)) {
-            span_layout = true;
-            ++a.partition_scan_hits;
-        }
-    }
-
-    if (span_layout && n > 0) {
+    if (src.sorted() && n > 0) {
         // Sorted fast path: every range is one contiguous span.
         // Binary-search each range boundary, then bulk-copy the span.
         uint32_t i = 0;

@@ -237,15 +237,6 @@ class KeyedAggOp : public SortedRunsOp
     }
 
   protected:
-    /**
-     * Every shipped Aggregation reduces a key run to a value that is
-     * invariant under run permutation (sum/count/avg/median/topK/
-     * uniqueCount/percentile), so the hash-scatter grouping variant —
-     * which orders within-key entries by arrival, not by the sort
-     * network — is safe here.
-     */
-    bool adaptiveGrouping() const override { return true; }
-
     void
     reduceWindow(columnar::WindowId w, const kpa::Kpa &merged,
                  uint32_t lo, uint32_t hi, sim::CostLog &log,

@@ -28,7 +28,6 @@
 #include "mem/placement_policy.h"
 #include "mem/pressure_director.h"
 #include "obs/trace.h"
-#include "runtime/adaptive.h"
 #include "runtime/balance_knob.h"
 #include "runtime/executor.h"
 #include "runtime/impact_tag.h"
@@ -78,13 +77,6 @@ struct EngineConfig
     SimTime monitor_period = 10 * kNsPerMs;
 
     uint64_t seed = 1;
-
-    /**
-     * Adaptive query execution (per-window profiling, kernel-variant
-     * switching). Off by default: every existing configuration and
-     * golden is bit-identical to the pre-adaptive engine.
-     */
-    AdaptiveConfig adaptive{};
 
     /**
      * Ingestion credit: maximum bundles in flight (ingested but not

@@ -410,7 +410,7 @@ TEST_F(PrimitivesTest, PartitionHandlesFullKeyspaceExtremes)
 
 TEST_F(PrimitivesTest, SortKpaChargesUnchangedOnPresortedEntries)
 {
-    // The adaptive host fast path (entries already ordered but the
+    // The presorted host fast path (entries already ordered but the
     // sorted flag unset) must charge exactly what a real sort would:
     // simulated figures never depend on the host path taken.
     BundleHandle b = makeKvBundle(4096, 23);
