@@ -154,21 +154,4 @@ naiveMaterialize(Ctx ctx, const Kpa &k)
     return BundleHandle::adopt(out);
 }
 
-void
-naiveHashProbeAll(algo::HashTable<uint64_t> &table,
-                  const uint64_t *keys, size_t n, uint64_t **out)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] = table.find(keys[i]);
-}
-
-uint64_t
-naiveHashGroupAll(algo::HashTable<uint64_t> &table,
-                  const uint64_t *keys, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        ++table.findOrInsert(keys[i]);
-    return n;
-}
-
 } // namespace sbhbm::bench

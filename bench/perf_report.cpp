@@ -3,15 +3,16 @@
  * Host-kernel perf-regression harness.
  *
  * Times the rewritten KPA grouping kernels (partitionByRange, join,
- * sortRun, extract, materialize, keySwap) against reference
- * implementations preserving the pre-rewrite algorithms, plus one
- * end-to-end figure-style GroupBy-window pipeline, and writes the
- * results to a machine-readable JSON report (BENCH_kernels.json).
- * Unlike the fig* benches this measures *host wall-clock* time — the
- * simulated cost model is exercised but its output is not the metric.
+ * sortRun, extract, materialize) against reference implementations
+ * preserving the pre-rewrite algorithms, plus baseline-free entries
+ * for keySwap, the sort sub-kernels (64-entry bitonic block,
+ * mergeRuns) and the Fig 11 record parsers, and writes the results to
+ * a machine-readable JSON report (BENCH_kernels.json). Unlike the
+ * fig* benches this measures *host wall-clock* time — the simulated
+ * cost model is exercised but its output is not the metric.
  *
- * Self-contained on purpose (std::chrono, no Google Benchmark) so it
- * builds and runs wherever the test suite does, including CI.
+ * Self-contained on purpose (std::chrono only) so it builds and runs
+ * wherever the test suite does, including CI.
  *
  * Usage: perf_report [--smoke] [--out <path>] [--threads <n>]
  *   --smoke    small inputs / few reps (CI per-PR signal)
@@ -29,11 +30,11 @@
 #include <thread>
 #include <vector>
 
-#include "algo/hash_table.h"
 #include "algo/sort.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/worker_pool.h"
+#include "ingest/parse/parsers.h"
 #include "kpa/primitives.h"
 #include "perf_naive.h"
 #include "sim/machine_config.h"
@@ -179,20 +180,26 @@ result(std::string name, const TimedPair &t, uint64_t items, int reps)
     return r;
 }
 
+/** Columns per record in the parser benches (YSB-shaped). */
+constexpr uint32_t kParseCols = 7;
+
 /**
- * The wide-dup probe stream shared by the hash microbenches: every
- * key 2k+1, k < distinct, probed exactly twice, order shuffled.
+ * Parse records from an encoded stream until it ends or stops
+ * parsing (trailing whitespace included); @return records parsed.
  */
-std::vector<uint64_t>
-makeWideDupProbes(uint32_t n, uint64_t seed)
+template <typename Ch, typename Parse>
+uint32_t
+parseAll(const Ch *p, const Ch *end, Parse parse)
 {
-    std::vector<uint64_t> probes(n);
-    for (uint32_t i = 0; i < n; ++i)
-        probes[i] = uint64_t{i / 2} * 2 + 1;
-    Rng rng(seed);
-    for (uint32_t i = n - 1; i > 0; --i)
-        std::swap(probes[i], probes[rng.nextBounded(i + 1)]);
-    return probes;
+    uint64_t row[kParseCols];
+    uint32_t parsed = 0;
+    while (p < end) {
+        p = parse(p, end, row, kParseCols);
+        if (p == nullptr)
+            break;
+        ++parsed;
+    }
+    return parsed;
 }
 
 } // namespace
@@ -425,79 +432,6 @@ main(int argc, char **argv)
         }
     }
 
-    // --- hash probe, wide-dup batched group prefetch ----------------
-    // The probe side of the wide-dup join as a hash workload: n
-    // lookups, every probed key present and probed twice. findBatch
-    // keeps kProbeBatch chains' head misses in flight (Cimple-style
-    // software pipelining); the reference is the scalar
-    // one-chain-at-a-time loop. The full-size table is sized past
-    // any plausible LLC (a server-class L3 can hide a merely
-    // cache-sized table entirely, leaving no latency to overlap and
-    // making the measurement meaningless for the DRAM-bound regime
-    // the batching exists for).
-    {
-        const uint32_t distinct = smoke ? n / 2 : 16u << 20;
-        algo::HashTable<uint64_t> table(distinct);
-        for (uint32_t k = 0; k < distinct; ++k)
-            table.findOrInsert(uint64_t{k} * 2 + 1) = k;
-        const std::vector<uint64_t> probes = makeWideDupProbes(n, 21);
-        // Both sides fulfil the same contract — materialize every
-        // probe's result pointer — so the measurement isolates the
-        // probing itself, not loop-fusion differences.
-        std::vector<uint64_t *> out(n);
-        uint64_t batched_hits = 0, scalar_hits = 0;
-        auto count_hits = [&out, n] {
-            uint64_t hits = 0;
-            for (uint32_t i = 0; i < n; ++i)
-                hits += out[i] != nullptr;
-            return hits;
-        };
-        const TimedPair tp = bestNsVs(
-            reps,
-            [&] {
-                table.findBatch(probes.data(), n, out.data());
-                batched_hits = count_hits();
-            },
-            [&] {
-                bench::naiveHashProbeAll(table, probes.data(), n,
-                                         out.data());
-                scalar_hits = count_hits();
-            });
-        if (batched_hits != scalar_hits) {
-            std::fprintf(stderr,
-                         "probe hit-count mismatch: %llu vs %llu\n",
-                         (unsigned long long)batched_hits,
-                         (unsigned long long)scalar_hits);
-            return 1;
-        }
-        report.add(result("probe/wide-dup", tp, n, reps));
-    }
-
-    // --- hash group (findOrInsert), batched group prefetch ----------
-    // The aggregation hot path of the record-at-a-time baseline:
-    // upsert-increment each probe key. Batched resolution stays in
-    // key order (insert visibility), so only the head-of-chain
-    // misses overlap — smaller win than pure probing, but on the
-    // critical path of every hash GroupBy window.
-    {
-        const uint32_t distinct = n / 2;
-        algo::HashTable<uint64_t> table(distinct);
-        for (uint32_t k = 0; k < distinct; ++k)
-            table.findOrInsert(uint64_t{k} * 2 + 1) = 0;
-        const std::vector<uint64_t> probes = makeWideDupProbes(n, 22);
-        const TimedPair tp = bestNsVs(
-            reps,
-            [&] {
-                table.findOrInsertBatch(
-                    probes.data(), n,
-                    [](uint32_t, uint64_t &count) { ++count; });
-            },
-            [&] {
-                bench::naiveHashGroupAll(table, probes.data(), n);
-            });
-        report.add(result("group/wide-dup", tp, n, reps));
-    }
-
     // --- extract ----------------------------------------------------
     {
         BundleHandle b = env.makeBundle(n, 1000, 6);
@@ -533,32 +467,94 @@ main(int argc, char **argv)
         report.add(result("keySwap/sorted", ns, n, reps));
     }
 
-    // --- end-to-end figure workload: GroupBy over windows -----------
+    // --- sort sub-kernels: 64-entry bitonic block, mergeRuns ---------
+    // The two stages sortRun is built from, timed on their own: every
+    // kSortBlock-entry block of a random input bitonic-sorted, and two
+    // sorted n/2-entry runs merged into one.
     {
-        // Fig-2-style grouping pipeline on KPAs: extract the ts
-        // column, range-partition into windows, swap to the group key,
-        // sort, reduce each key run, materialize the last window.
-        BundleHandle b = env.makeBundle(n, 1000, 9);
-        const uint64_t window = (uint64_t{n} + 7) / 8; // ~8 windows
-        uint64_t groups = 0;
+        Rng rng(12);
+        std::vector<KpEntry> input(n);
+        for (uint32_t i = 0; i < n; ++i)
+            input[i] = KpEntry{rng.next(), nullptr};
+        std::vector<KpEntry> work(n);
+        const uint64_t bytes = uint64_t{n} * sizeof(KpEntry);
         const double ns = bestNs(reps, [&] {
-            KpaPtr k = kpa::extract(env.ctx(), *b, 2, env.hbm);
-            auto windows = kpa::partitionByRange(env.ctx(), *k, window,
-                                                 env.hbm);
-            groups = 0;
-            for (auto &w : windows) {
-                kpa::keySwap(env.ctx(), *w.part, 0);
-                kpa::sortKpa(env.ctx(), *w.part);
-                kpa::forEachKeyRun(
-                    *w.part,
-                    [&](uint64_t, const KpEntry *, size_t) { ++groups; });
-            }
-            BundleHandle out =
-                kpa::materialize(env.ctx(), *windows.back().part);
+            std::memcpy(work.data(), input.data(), bytes);
+            for (uint32_t i = 0; i < n; i += algo::kSortBlock)
+                algo::bitonicSortPow2(work.data() + i, algo::kSortBlock);
         });
-        std::printf("e2e groupby: %llu groups over %u records\n",
-                    static_cast<unsigned long long>(groups), n);
-        report.add(result("e2e/groupby_window", ns, n, reps));
+        for (uint32_t i = 0; i < n; i += algo::kSortBlock) {
+            if (!algo::isSortedByKey(work.data() + i, algo::kSortBlock)) {
+                std::fprintf(stderr, "bitonic block %u not sorted\n",
+                             i / static_cast<uint32_t>(algo::kSortBlock));
+                return 1;
+            }
+        }
+        report.add(result("bitonicBlock/64", ns, n, reps));
+
+        const size_t half = n / 2;
+        std::vector<KpEntry> scratch(half);
+        algo::sortRun(input.data(), half, scratch.data());
+        algo::sortRun(input.data() + half, n - half, scratch.data());
+        const double merge_ns = bestNs(reps, [&] {
+            algo::mergeRuns(input.data(), half, input.data() + half,
+                            n - half, work.data());
+        });
+        if (!algo::isSortedByKey(work.data(), n)) {
+            std::fprintf(stderr, "mergeRuns output not sorted\n");
+            return 1;
+        }
+        report.add(result("mergeRuns", merge_ns, n, reps));
+    }
+
+    // --- Fig 11 record parsers: JSON, protobuf, text ----------------
+    // Parse a pre-encoded stream of 7-column records back to rows, the
+    // ingest bottleneck Fig 11 models. Each rep must parse exactly
+    // every record.
+    {
+        const uint32_t records = n / 16;
+        Rng rng(13);
+        std::string json, text;
+        std::vector<uint8_t> proto;
+        for (uint32_t i = 0; i < records; ++i) {
+            uint64_t row[kParseCols];
+            for (uint64_t &v : row)
+                v = rng.next();
+            ingest::parse::encodeJson(row, kParseCols, json);
+            ingest::parse::encodeProto(row, kParseCols, proto);
+            ingest::parse::encodeText(row, kParseCols, text);
+        }
+        uint32_t parsed[3] = {};
+        const double ns[3] = {
+            bestNs(reps,
+                   [&] {
+                       parsed[0] = parseAll(json.data(),
+                                            json.data() + json.size(),
+                                            ingest::parse::parseJson);
+                   }),
+            bestNs(reps,
+                   [&] {
+                       parsed[1] = parseAll(proto.data(),
+                                            proto.data() + proto.size(),
+                                            ingest::parse::parseProto);
+                   }),
+            bestNs(reps,
+                   [&] {
+                       parsed[2] = parseAll(text.data(),
+                                            text.data() + text.size(),
+                                            ingest::parse::parseText);
+                   }),
+        };
+        const char *const names[3] = {"parse/json", "parse/proto",
+                                      "parse/text"};
+        for (int f = 0; f < 3; ++f) {
+            if (parsed[f] != records) {
+                std::fprintf(stderr, "%s: parsed %u of %u records\n",
+                             names[f], parsed[f], records);
+                return 1;
+            }
+            report.add(result(names[f], ns[f], records, reps));
+        }
     }
 
     // --- report -----------------------------------------------------

@@ -363,32 +363,15 @@ updateKeysInPlace(Ctx ctx, Kpa &k, KeyFn &&fn)
 /**
  * updateKeysInPlace specialized to an external key-value table:
  * every resident key is replaced by table[key] (or kept when
- * absent). The probes run through HashTable::findBatch, so the
- * per-key chain walks overlap their cache misses instead of
- * serializing — same results and identical charges as the generic
- * per-key path.
+ * absent).
  */
 inline void
 updateKeysViaTable(Ctx ctx, Kpa &k, algo::HashTable<uint64_t> &table)
 {
-    KpEntry *e = k.entries();
-    const uint32_t n = k.size();
-    constexpr uint32_t kB = algo::HashTable<uint64_t>::kProbeBatch;
-    uint64_t keys[kB];
-    uint64_t *vals[kB];
-    for (uint32_t base = 0; base < n; base += kB) {
-        const uint32_t b = std::min(kB, n - base);
-        for (uint32_t l = 0; l < b; ++l)
-            keys[l] = e[base + l].key;
-        table.findBatch(keys, b, vals);
-        for (uint32_t l = 0; l < b; ++l)
-            e[base + l].key = vals[l] != nullptr ? *vals[l] : keys[l];
-    }
-    k.setResidentColumn(columnar::kNoColumn);
-    k.setSorted(k.size() <= 1);
-    ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,
-                  ctx.scaled(k.bytes()));
-    ctx.kernel(cost::kSwapNsPerRec * k.size());
+    updateKeysInPlace(ctx, k, [&table](uint64_t key) {
+        const uint64_t *v = table.find(key);
+        return v != nullptr ? *v : key;
+    });
 }
 
 /**

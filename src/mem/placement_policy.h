@@ -1,18 +1,14 @@
 /**
  * @file
- * Pluggable KPA placement policy — the decision point of the memory
- * control plane.
+ * KPA placement policy — the decision point of the memory control
+ * plane.
  *
- * Before this interface existed, placement logic was scattered across
- * three layers that could not talk to each other: the balance knob
- * rolled a probability at alloc time, HybridMemory silently spilled
- * to DRAM, and the serving layer admitted on static reservations.
- * PlacementPolicy centralizes the *decision* (which tier, may it dip
- * into the urgent reserve) while HybridMemory keeps the *mechanism*
- * (gauges, spill, migration). The default KnobPlacementPolicy wraps
- * the paper's demand balance knob and urgent reserve, reproducing the
- * pre-control-plane behavior bit-identically — same RNG draws in the
- * same order, same spill conditions.
+ * KnobPlacementPolicy owns the *decision* (which tier, may it dip into
+ * the urgent reserve) while HybridMemory keeps the *mechanism*
+ * (gauges, spill, migration). It wraps the paper's demand balance
+ * knob and urgent reserve, reproducing the pre-control-plane behavior
+ * bit-identically — same RNG draws in the same order, same spill
+ * conditions.
  *
  * Per-stream placement classes let the serving layer bias a tenant:
  * an SLA-breaching tenant is demoted to kDramLean (its non-urgent
@@ -45,8 +41,15 @@ placementClassName(PlacementClass c)
     return c == PlacementClass::kDramLean ? "dram-lean" : "normal";
 }
 
-/** Strategy deciding where a new KPA lives. */
-class PlacementPolicy
+/**
+ * The placement policy: the paper's "single control knob" (§1). Urgent
+ * tasks always get HBM from the reserved pool; High/Low tasks flip
+ * the balance knob's weighted coin and fall back to DRAM when HBM has
+ * no non-reserved room. A DRAM-leaning stream skips the coin and goes
+ * straight to DRAM (urgent tasks are exempt: the critical path keeps
+ * its reserve even while a tenant is demoted).
+ */
+class KnobPlacementPolicy
 {
   public:
     /** A placement decision: the tier to request and whether the
@@ -57,34 +60,6 @@ class PlacementPolicy
         bool urgent = false;
     };
 
-    virtual ~PlacementPolicy() = default;
-
-    /**
-     * Decide the placement of a new KPA of ~@p bytes_hint bytes for a
-     * task tagged @p tag on @p stream. Called once per allocation;
-     * implementations may consume RNG state.
-     */
-    virtual Decision place(runtime::ImpactTag tag, uint64_t bytes_hint,
-                           uint32_t stream) = 0;
-
-    /** Bias @p stream's future placements (serving-layer demotion). */
-    virtual void setStreamClass(uint32_t stream, PlacementClass c) = 0;
-
-    /** Current bias of @p stream. */
-    virtual PlacementClass streamClass(uint32_t stream) const = 0;
-};
-
-/**
- * The default policy: the paper's "single control knob" (§1). Urgent
- * tasks always get HBM from the reserved pool; High/Low tasks flip
- * the balance knob's weighted coin and fall back to DRAM when HBM has
- * no non-reserved room. A DRAM-leaning stream skips the coin and goes
- * straight to DRAM (urgent tasks are exempt: the critical path keeps
- * its reserve even while a tenant is demoted).
- */
-class KnobPlacementPolicy final : public PlacementPolicy
-{
-  public:
     /**
      * @param use_knob when false, non-urgent tasks always *want* HBM
      *        (the knob is bypassed, not the capacity spill).
@@ -96,9 +71,13 @@ class KnobPlacementPolicy final : public PlacementPolicy
     {
     }
 
+    /**
+     * Decide the placement of a new KPA of ~@p bytes_hint bytes for a
+     * task tagged @p tag on @p stream. Called once per allocation;
+     * may consume RNG state.
+     */
     Decision
-    place(runtime::ImpactTag tag, uint64_t bytes_hint,
-          uint32_t stream) override
+    place(runtime::ImpactTag tag, uint64_t bytes_hint, uint32_t stream)
     {
         if (hm_.mode() != sim::MemoryMode::kFlat)
             return Decision{Tier::kDram, false};
@@ -114,8 +93,9 @@ class KnobPlacementPolicy final : public PlacementPolicy
         return Decision{Tier::kDram, false};
     }
 
+    /** Bias @p stream's future placements (serving-layer demotion). */
     void
-    setStreamClass(uint32_t stream, PlacementClass c) override
+    setStreamClass(uint32_t stream, PlacementClass c)
     {
         if (c == PlacementClass::kNormal)
             classes_.erase(stream);
@@ -123,8 +103,9 @@ class KnobPlacementPolicy final : public PlacementPolicy
             classes_[stream] = c;
     }
 
+    /** Current bias of @p stream. */
     PlacementClass
-    streamClass(uint32_t stream) const override
+    streamClass(uint32_t stream) const
     {
         auto it = classes_.find(stream);
         return it == classes_.end() ? PlacementClass::kNormal

@@ -54,8 +54,6 @@ class ExternalJoinOp : public Operator
             auto ctx = makeCtx(log, msg.kpa->recordCols());
             kpa::Kpa &k = *msg.kpa;
 
-            // Batched probes: the per-key chain walks overlap their
-            // misses (HashTable::findBatch) instead of serializing.
             kpa::updateKeysViaTable(ctx, k, *table_);
             // Table probes: one random line per record into the
             // (HBM-resident, when available) table.

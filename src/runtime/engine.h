@@ -138,17 +138,16 @@ class Engine
 
     /**
      * Decide the placement of a new KPA for a task tagged @p tag on
-     * @p stream, by consulting the installed PlacementPolicy. The
-     * default KnobPlacementPolicy is the paper's "single control
-     * knob" (§1): Urgent tasks always get HBM (reserved pool); others
-     * flip the knob's weighted coin, falling back to DRAM when HBM
-     * has no non-reserved room.
+     * @p stream, by consulting the KnobPlacementPolicy — the paper's
+     * "single control knob" (§1): Urgent tasks always get HBM
+     * (reserved pool); others flip the knob's weighted coin, falling
+     * back to DRAM when HBM has no non-reserved room.
      */
     kpa::Placement
     placeKpa(ImpactTag tag, uint64_t bytes_hint, StreamId stream = 0)
     {
-        const mem::PlacementPolicy::Decision d =
-            placement_policy_->place(tag, bytes_hint, stream);
+        const mem::KnobPlacementPolicy::Decision d =
+            knob_policy_.place(tag, bytes_hint, stream);
         kpa::Placement p;
         p.tier = d.tier;
         p.urgent = d.urgent;
@@ -156,24 +155,11 @@ class Engine
         return p;
     }
 
-    /** The installed placement policy (default: the knob wrapper). */
-    mem::PlacementPolicy &placementPolicy() { return *placement_policy_; }
-
-    /**
-     * Install a placement policy (non-owning; caller keeps it alive).
-     * nullptr restores the default knob-driven policy.
-     */
-    void
-    setPlacementPolicy(mem::PlacementPolicy *p)
-    {
-        placement_policy_ = p != nullptr ? p : &knob_policy_;
-    }
-
     /** Bias @p stream's placement (serving-layer SLA demotion). */
     void
     setStreamPlacementClass(StreamId stream, mem::PlacementClass c)
     {
-        placement_policy_->setStreamClass(stream, c);
+        knob_policy_.setStreamClass(stream, c);
     }
 
     /** The pressure director (cold-state demotion control loop). */
@@ -388,7 +374,6 @@ class Engine
     BalanceKnob knob_;
     Rng rng_;
     mem::KnobPlacementPolicy knob_policy_;
-    mem::PlacementPolicy *placement_policy_ = &knob_policy_;
     mem::PressureDirector director_;
     ResourceMonitor monitor_;
     obs::Telemetry *tele_ = nullptr;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -96,6 +98,50 @@ TEST(HashTable, FootprintCoversSlots)
 {
     HashTable<uint64_t> t(1000);
     EXPECT_GE(t.footprintBytes(), t.capacity() * 16);
+}
+
+/** The first @p count keys whose home slot is @p home under @p mask. */
+std::vector<uint64_t>
+keysHomedAt(size_t count, size_t home, size_t mask)
+{
+    std::vector<uint64_t> keys;
+    for (uint64_t k = 1; keys.size() < count; ++k)
+        if ((hashKey(k) & mask) == home)
+            keys.push_back(k);
+    return keys;
+}
+
+TEST(HashTable, FindWalksCollisionClusters)
+{
+    // Two 64-key clusters in a 1024-slot table: one homed mid-table
+    // and one homed at the last slot, so its chain wraps to slot 0.
+    HashTable<uint64_t> t(800);
+    ASSERT_EQ(t.capacity(), 1024u);
+    const size_t mask = t.capacity() - 1;
+    for (const size_t home : {size_t{100}, mask}) {
+        const std::vector<uint64_t> members = keysHomedAt(64, home, mask);
+        for (uint64_t k : members)
+            t.findOrInsert(k) = k * 3;
+        for (uint64_t k : members) {
+            const uint64_t *v = t.find(k);
+            ASSERT_NE(v, nullptr) << "home " << home << " key " << k;
+            EXPECT_EQ(*v, k * 3);
+        }
+        // Absent keys homed at the cluster head or inside the cluster
+        // walk the occupied run and still miss.
+        for (const size_t offset : {size_t{0}, size_t{1}, size_t{31},
+                                    size_t{63}}) {
+            const size_t slot = (home + offset) & mask;
+            for (uint64_t k : keysHomedAt(70, slot, mask)) {
+                if (std::find(members.begin(), members.end(), k)
+                    == members.end()) {
+                    EXPECT_EQ(t.find(k), nullptr)
+                        << "slot " << slot << " key " << k;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(t.size(), 128u);
 }
 
 } // namespace

@@ -440,6 +440,53 @@ TEST_F(PrimitivesTest, UpdateKeysInPlaceAndWriteBack)
         EXPECT_EQ(k->at(i).row[1], k->at(i).key);
 }
 
+TEST_F(PrimitivesTest, UpdateKeysViaTableMapsPresentKeysOnly)
+{
+    // Even keys map to key + 1000; odd keys are absent and pass
+    // through unchanged.
+    algo::HashTable<uint64_t> table(64);
+    for (uint64_t key = 0; key < 50; key += 2)
+        table.findOrInsert(key) = key + 1000;
+
+    BundleHandle b = makeKvBundle(500, 20);
+    KpaPtr via = extract(ctx(), *b, 0, hbm_);
+    KpaPtr generic = extract(ctx(), *b, 0, hbm_);
+    sortKpa(ctx(), *via);
+    sortKpa(ctx(), *generic);
+    ASSERT_TRUE(via->sorted());
+
+    CostLog via_log, generic_log;
+    updateKeysViaTable(Ctx{hm_, via_log}, *via, table);
+    updateKeysInPlace(Ctx{hm_, generic_log}, *generic, [&](uint64_t key) {
+        const uint64_t *v = table.find(key);
+        return v != nullptr ? *v : key;
+    });
+
+    EXPECT_EQ(via->residentColumn(), columnar::kNoColumn);
+    EXPECT_FALSE(via->sorted());
+    for (uint32_t i = 0; i < via->size(); ++i) {
+        const uint64_t orig = via->at(i).row[0];
+        EXPECT_EQ(via->at(i).key, orig % 2 == 0 ? orig + 1000 : orig);
+        EXPECT_EQ(via->at(i).key, generic->at(i).key);
+    }
+
+    // Same charges as the generic per-key path, phase for phase.
+    ASSERT_EQ(via_log.phases().size(), generic_log.phases().size());
+    for (size_t p = 0; p < via_log.phases().size(); ++p) {
+        const sim::Phase &a = via_log.phases()[p];
+        const sim::Phase &g = generic_log.phases()[p];
+        EXPECT_EQ(a.cpu_ns, g.cpu_ns);
+        EXPECT_EQ(a.cpu_vector_ns, g.cpu_vector_ns);
+        ASSERT_EQ(a.flows.size(), g.flows.size());
+        for (size_t f = 0; f < a.flows.size(); ++f) {
+            EXPECT_EQ(a.flows[f].tier, g.flows[f].tier);
+            EXPECT_EQ(a.flows[f].pattern, g.flows[f].pattern);
+            EXPECT_EQ(a.flows[f].bytes, g.flows[f].bytes);
+        }
+    }
+    EXPECT_GT(via_log.totalBytes(), 0u);
+}
+
 TEST_F(PrimitivesTest, ForEachKeyRunVisitsSortedGroups)
 {
     BundleHandle b = makeKvBundle(5000, 17, /*key_range=*/20);

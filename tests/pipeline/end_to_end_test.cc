@@ -75,6 +75,11 @@ class EndToEndTest : public ::testing::Test
     runKeyedPipeline(Aggregation agg, uint64_t total_records,
                      runtime::EngineConfig ecfg = testEngineConfig())
     {
+        // A rerun must tear down the previous source and pipeline
+        // while their engine is still alive: operators unregister
+        // from its PressureDirector on destruction.
+        src_.reset();
+        pipe_.reset();
         eng_ = std::make_unique<runtime::Engine>(ecfg);
         pipe_ = std::make_unique<Pipeline>(
             *eng_, columnar::WindowSpec{100 * kNsPerMs});

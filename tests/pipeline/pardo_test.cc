@@ -63,6 +63,10 @@ class PardoTest : public ::testing::Test
     CountSink &
     run(Args &&...args)
     {
+        // A rerun must tear down the previous pipeline while its
+        // engine is still alive: operators unregister from its
+        // PressureDirector on destruction.
+        pipe_.reset();
         eng_ = std::make_unique<runtime::Engine>(engineConfig());
         pipe_ = std::make_unique<Pipeline>(
             *eng_, columnar::WindowSpec{100 * kNsPerMs});
