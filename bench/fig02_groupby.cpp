@@ -11,8 +11,11 @@
  *
  *  - Sort: parallel merge-sort of key/pointer pairs — per-core chunk
  *    sorts (bitonic blocks + local merge passes) followed by pairwise
- *    merge rounds sliced across all cores at key boundaries
- *    (algo::mergePathSplit). All traffic is sequential.
+ *    merge rounds sliced across all cores at key boundaries. All
+ *    traffic is sequential. The charges model that algorithm; the
+ *    host sorts each chunk with algo::sortRun (a stable radix sort)
+ *    and merges whole pairs with algo::mergeRuns, which changes only
+ *    how fast the host gets there.
  *  - Hash: sequential partitioning pass, then parallel inserts into
  *    per-partition open-addressing tables. Inserts are dependent
  *    random accesses (one line per probe).
@@ -100,7 +103,7 @@ runSort(std::vector<KpEntry> data, Tier tier, unsigned cores)
                 return;
             algo::sortRun(data.data() + lo, hi - lo, scratch.data() + lo);
             const auto m = static_cast<double>(hi - lo);
-            const int levels = algo::mergeLevels(hi - lo);
+            const int levels = sim::cost::mergeLevels(hi - lo);
             log.seq(tier, uint64_t(1 + levels)
                               * sim::cost::kSortBytesPerElemLevel
                               * (hi - lo));

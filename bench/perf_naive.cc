@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "algo/sort.h"
-
 namespace sbhbm::bench {
 
 using columnar::Bundle;
@@ -103,30 +101,6 @@ naiveJoin(Ctx ctx, const Kpa &l, const Kpa &r,
             row[c++] = b->row[rc];
     }
     return BundleHandle::adopt(out);
-}
-
-void
-naiveSortRun(KpEntry *data, size_t n, KpEntry *scratch)
-{
-    if (n <= 1)
-        return;
-    for (size_t i = 0; i < n; i += algo::kSortBlock)
-        algo::sortBlock(data + i, std::min(algo::kSortBlock, n - i));
-    KpEntry *src = data;
-    KpEntry *dst = scratch;
-    for (size_t width = algo::kSortBlock; width < n; width <<= 1) {
-        for (size_t i = 0; i < n; i += 2 * width) {
-            const size_t mid = std::min(i + width, n);
-            const size_t end = std::min(i + 2 * width, n);
-            algo::mergeRuns(src + i, mid - i, src + mid, end - mid,
-                            dst + i);
-        }
-        std::swap(src, dst);
-    }
-    if (src != data) {
-        for (size_t i = 0; i < n; ++i)
-            data[i] = src[i];
-    }
 }
 
 KpaPtr

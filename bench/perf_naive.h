@@ -31,13 +31,6 @@ naiveJoin(kpa::Ctx ctx, const kpa::Kpa &l, const kpa::Kpa &r,
           const std::vector<columnar::ColumnId> &l_cols,
           const std::vector<columnar::ColumnId> &r_cols);
 
-/**
- * Fixed data->scratch ping-pong with an unconditional full sort and a
- * final copy-back, as before.
- */
-void naiveSortRun(columnar::KpEntry *data, size_t n,
-                  columnar::KpEntry *scratch);
-
 /** Per-record row() + push() extract loop, as before. */
 kpa::KpaPtr naiveExtract(kpa::Ctx ctx, columnar::Bundle &src,
                          columnar::ColumnId key_col,

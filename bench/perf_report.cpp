@@ -3,10 +3,10 @@
  * Host-kernel perf-regression harness.
  *
  * Times the rewritten KPA grouping kernels (partitionByRange, join,
- * sortRun, extract, materialize) against reference implementations
- * preserving the pre-rewrite algorithms, plus baseline-free entries
- * for keySwap, the sort sub-kernels (64-entry bitonic block,
- * mergeRuns) and the Fig 11 record parsers, and writes the results to
+ * extract, materialize) against reference implementations preserving
+ * the pre-rewrite algorithms, sortRun against std::stable_sort (the
+ * output it must equal), plus baseline-free entries for keySwap,
+ * mergeRuns and the Fig 11 record parsers, and writes the results to
  * a machine-readable JSON report (BENCH_kernels.json). Unlike the
  * fig* benches this measures *host wall-clock* time — the simulated
  * cost model is exercised but its output is not the metric.
@@ -14,26 +14,21 @@
  * Self-contained on purpose (std::chrono only) so it builds and runs
  * wherever the test suite does, including CI.
  *
- * Usage: perf_report [--smoke] [--out <path>] [--threads <n>]
+ * Usage: perf_report [--smoke] [--out <path>]
  *   --smoke    small inputs / few reps (CI per-PR signal)
  *   --out      JSON output path (default BENCH_kernels.json)
- *   --threads  host worker threads for the parallel-kernel entries
- *              (default: sweep 1, 4 and the hardware concurrency)
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algo/sort.h"
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/worker_pool.h"
 #include "ingest/parse/parsers.h"
 #include "kpa/primitives.h"
 #include "perf_naive.h"
@@ -45,7 +40,6 @@ using bench::naiveExtract;
 using bench::naiveJoin;
 using bench::naiveMaterialize;
 using bench::naivePartitionByRange;
-using bench::naiveSortRun;
 using bench::Table;
 using columnar::Bundle;
 using columnar::BundleHandle;
@@ -209,18 +203,14 @@ main(int argc, char **argv)
 {
     bool smoke = false;
     std::string out_path = "BENCH_kernels.json";
-    unsigned threads_flag = 0; // 0 = sweep {1, 4, hardware}
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--smoke") == 0)
             smoke = true;
         else if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc)
             out_path = argv[++a];
-        else if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc)
-            threads_flag = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++a])));
         else {
-            std::fprintf(stderr, "usage: perf_report [--smoke] "
-                                 "[--out <path>] [--threads <n>]\n");
+            std::fprintf(stderr,
+                         "usage: perf_report [--smoke] [--out <path>]\n");
             return 2;
         }
     }
@@ -331,104 +321,57 @@ main(int argc, char **argv)
         report.add(result("join/wide-dup", t, matches, reps));
     }
 
-    // --- sortRun, both merge-pass parities --------------------------
-    // With an even level count the old code already finished in
-    // `data`; the copy-back it paid at odd parity is what the
-    // precomputed ping-pong start eliminates. Bench both.
-    for (const bool odd : {false, true}) {
-        const size_t sn = odd ? size_t{n} + n / 2 : size_t{n};
-        Rng rng(5);
-        std::vector<KpEntry> input(sn);
-        for (size_t i = 0; i < sn; ++i)
-            input[i] = KpEntry{rng.next(), nullptr};
-        std::vector<KpEntry> work(sn), scratch(sn);
-        const uint64_t bytes = sn * sizeof(KpEntry);
-        const TimedPair t = bestNsVs(
-            reps,
-            [&] {
-                std::memcpy(work.data(), input.data(), bytes);
-                algo::sortRun(work.data(), sn, scratch.data());
-            },
-            [&] {
-                std::memcpy(work.data(), input.data(), bytes);
-                naiveSortRun(work.data(), sn, scratch.data());
-            });
-        report.add(result(odd ? "sortRun/odd-levels"
-                              : "sortRun/even-levels",
-                          t, sn, reps));
-    }
-
-    // --- sortRun, already-sorted input (presorted fast path) --------
-    // Streaming pipelines sort timestamp-extracted KPAs that arrive
-    // in order; the rewritten kernel detects this in one scan where
-    // the old one re-ran every merge pass.
+    // --- sortRun vs std::stable_sort --------------------------------
+    // The baseline is the output sortRun must equal. random: n entries
+    // with full 64-bit keys (six radix passes); narrow: the groupby
+    // bundle shape, 50k entries with keys < 2^20 (two passes);
+    // presorted: sorted input, which returns after one scan.
     {
-        Rng rng(10);
-        std::vector<KpEntry> input(n);
-        for (uint32_t i = 0; i < n; ++i)
-            input[i] = KpEntry{rng.next(), nullptr};
-        std::vector<KpEntry> work(n), scratch(n);
-        std::memcpy(work.data(), input.data(),
-                    uint64_t{n} * sizeof(KpEntry));
-        algo::sortRun(work.data(), n, scratch.data());
-        std::memcpy(input.data(), work.data(),
-                    uint64_t{n} * sizeof(KpEntry)); // sorted input
-        const uint64_t bytes = uint64_t{n} * sizeof(KpEntry);
-        const TimedPair t = bestNsVs(
-            reps,
-            [&] {
-                std::memcpy(work.data(), input.data(), bytes);
-                algo::sortRun(work.data(), n, scratch.data());
-            },
-            [&] {
-                std::memcpy(work.data(), input.data(), bytes);
-                naiveSortRun(work.data(), n, scratch.data());
-            });
-        report.add(result("sortRun/presorted", t, n, reps));
-    }
-
-    // --- sortRun, parallel thread scaling ---------------------------
-    // The same 1 M-random-entry sort as above, sharded across a host
-    // WorkerPool: parallel run formation, per-pair merge dispatch,
-    // merge-path-sliced final rounds. Output is bit-identical to the
-    // serial kernel at every thread count; only the wall clock moves.
-    {
-        std::vector<unsigned> sweep;
-        if (threads_flag > 0) {
-            sweep.push_back(threads_flag);
-        } else {
-            const unsigned hw = std::max(
-                1u, std::thread::hardware_concurrency());
-            for (unsigned t : {1u, 4u, hw})
-                if (std::find(sweep.begin(), sweep.end(), t)
-                    == sweep.end())
-                    sweep.push_back(t);
-        }
-        Rng rng(5);
-        std::vector<KpEntry> input(n);
-        for (uint32_t i = 0; i < n; ++i)
-            input[i] = KpEntry{rng.next(), nullptr};
-        std::vector<KpEntry> work(n), scratch(n);
-        const uint64_t bytes = uint64_t{n} * sizeof(KpEntry);
-        for (unsigned t : sweep) {
-            WorkerPool pool(t);
-            const TimedPair tp = bestNsVs(
+        struct Shape
+        {
+            const char *name;
+            size_t entries;
+            uint64_t key_range; // 0 = full 64-bit keys
+            bool presorted;
+        };
+        const Shape shapes[] = {
+            {"sortRun/random", n, 0, false},
+            {"sortRun/narrow", 50000, uint64_t{1} << 20, false},
+            {"sortRun/presorted", n, 0, true},
+        };
+        for (const Shape &sh : shapes) {
+            Rng rng(5);
+            std::vector<KpEntry> input(sh.entries);
+            for (size_t i = 0; i < sh.entries; ++i) {
+                // Row pointers are identity tags: the check below
+                // covers the order of equal keys too.
+                input[i] = KpEntry{sh.key_range == 0
+                                       ? rng.next()
+                                       : rng.nextBounded(sh.key_range),
+                                   reinterpret_cast<uint64_t *>(i + 1)};
+            }
+            if (sh.presorted)
+                std::stable_sort(input.begin(), input.end());
+            std::vector<KpEntry> work(sh.entries), scratch(sh.entries);
+            const uint64_t bytes = sh.entries * sizeof(KpEntry);
+            const TimedPair t = bestNsVs(
                 reps,
                 [&] {
                     std::memcpy(work.data(), input.data(), bytes);
-                    algo::sortRunParallel(work.data(), n,
-                                          scratch.data(), pool);
+                    algo::sortRun(work.data(), sh.entries,
+                                  scratch.data());
                 },
                 [&] {
                     std::memcpy(work.data(), input.data(), bytes);
-                    naiveSortRun(work.data(), n, scratch.data());
+                    std::stable_sort(work.begin(), work.end());
                 });
-            char name[64];
-            std::snprintf(name, sizeof(name), "sortRun/parallel/t%u",
-                          t);
-            BenchResult r = result(name, tp, n, reps);
-            r.threads = static_cast<int>(t);
-            report.add(r);
+            algo::sortRun(input.data(), sh.entries, scratch.data());
+            if (std::memcmp(input.data(), work.data(), bytes) != 0) {
+                std::fprintf(stderr, "%s: differs from std::stable_sort\n",
+                             sh.name);
+                return 1;
+            }
+            report.add(result(sh.name, t, sh.entries, reps));
         }
     }
 
@@ -467,31 +410,13 @@ main(int argc, char **argv)
         report.add(result("keySwap/sorted", ns, n, reps));
     }
 
-    // --- sort sub-kernels: 64-entry bitonic block, mergeRuns ---------
-    // The two stages sortRun is built from, timed on their own: every
-    // kSortBlock-entry block of a random input bitonic-sorted, and two
-    // sorted n/2-entry runs merged into one.
+    // --- mergeRuns: two sorted n/2-entry runs merged into one -------
     {
         Rng rng(12);
         std::vector<KpEntry> input(n);
         for (uint32_t i = 0; i < n; ++i)
             input[i] = KpEntry{rng.next(), nullptr};
         std::vector<KpEntry> work(n);
-        const uint64_t bytes = uint64_t{n} * sizeof(KpEntry);
-        const double ns = bestNs(reps, [&] {
-            std::memcpy(work.data(), input.data(), bytes);
-            for (uint32_t i = 0; i < n; i += algo::kSortBlock)
-                algo::bitonicSortPow2(work.data() + i, algo::kSortBlock);
-        });
-        for (uint32_t i = 0; i < n; i += algo::kSortBlock) {
-            if (!algo::isSortedByKey(work.data() + i, algo::kSortBlock)) {
-                std::fprintf(stderr, "bitonic block %u not sorted\n",
-                             i / static_cast<uint32_t>(algo::kSortBlock));
-                return 1;
-            }
-        }
-        report.add(result("bitonicBlock/64", ns, n, reps));
-
         const size_t half = n / 2;
         std::vector<KpEntry> scratch(half);
         algo::sortRun(input.data(), half, scratch.data());
@@ -559,11 +484,10 @@ main(int argc, char **argv)
 
     // --- report -----------------------------------------------------
     Table t("perf_report — host wall clock");
-    t.header({"benchmark", "thr", "ns/op", "Mitems/s",
-              "baseline ns/op", "speedup"});
+    t.header({"benchmark", "ns/op", "Mitems/s", "baseline ns/op",
+              "speedup"});
     for (const BenchResult &r : report.results()) {
-        t.row({r.name, Table::num(static_cast<uint64_t>(r.threads)),
-               Table::num(r.ns_per_op, 0),
+        t.row({r.name, Table::num(r.ns_per_op, 0),
                Table::num(r.items_per_sec / 1e6, 1),
                r.baseline_ns_per_op > 0
                    ? Table::num(r.baseline_ns_per_op, 0)

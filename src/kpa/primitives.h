@@ -63,11 +63,11 @@ struct Ctx
     double group_scale = 1.0;
 
     /**
-     * Host fork-join pool for the wall-clock of heavy kernels
-     * (sortKpa's merge rounds, large merges). Optional: nullptr (or a
-     * 1-thread pool) runs the serial code paths. Parallel and serial
-     * paths produce bit-identical entries and identical charges, so
-     * this never changes simulated results.
+     * Host fork-join pool for the wall-clock of merge and
+     * partitionByRange. Optional: nullptr (or a 1-thread pool) runs
+     * the serial code paths. Parallel and serial paths produce
+     * bit-identical entries and identical charges, so this never
+     * changes simulated results.
      */
     WorkerPool *pool = nullptr;
 
@@ -398,8 +398,9 @@ writeBackKeys(Ctx ctx, Kpa &k, ColumnId col)
 // -------------------------------------------------------------------
 
 /**
- * Sort (Table 2): merge-sort the KPA by resident key in place.
- * Bitonic block sort plus bottom-up merge passes, all sequential.
+ * Sort (Table 2): sort the KPA by resident key in place. The host
+ * runs algo::sortRun (a stable radix sort); the charges model §4.2's
+ * sort, bitonic blocks plus bottom-up merge passes, all sequential.
  */
 inline void
 sortKpa(Ctx ctx, Kpa &k)
@@ -411,26 +412,17 @@ sortKpa(Ctx ctx, Kpa &k)
         // Skip the scratch allocation and the sort when the entries
         // are already ordered (timestamp-extracted KPAs from in-order
         // streams). The simulated machine still sorts — the charges
-        // below depend only on n, never on the host path. This scan
-        // is the only presorted check: the sort below skips its own.
+        // below depend only on n, never on the host path.
         if (!algo::isSortedByKey(k.entries(), n)) {
             // Scratch lives on the same tier while the sort runs.
             mem::Block scratch =
                 ctx.hm.alloc(n * sizeof(KpEntry), k.tier());
-            if (ctx.pool != nullptr && ctx.pool->threads() > 1) {
-                algo::sortRunParallel(
-                    k.entries(), n,
-                    static_cast<KpEntry *>(scratch.ptr), *ctx.pool,
-                    /*precheck=*/false);
-            } else {
-                algo::sortRun(k.entries(), n,
-                              static_cast<KpEntry *>(scratch.ptr),
-                              /*precheck=*/false);
-            }
+            algo::sortRun(k.entries(), n,
+                          static_cast<KpEntry *>(scratch.ptr));
             ctx.hm.free(scratch);
         }
 
-        const int levels = algo::mergeLevels(n);
+        const int levels = cost::mergeLevels(n);
         // One block-sort pass plus one pass per merge level, each
         // streaming the KPA in and out (write-allocate included).
         ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,

@@ -41,6 +41,19 @@ constexpr double kBitonicNsPerElemStage = 0.8;
 constexpr int kBitonicBlock = 64;
 constexpr int kBitonicStages = 21; // sum k(k+1)/2 for k=1..6
 
+/**
+ * Merge passes §4.2's sort makes over @p n entries above its
+ * kBitonicBlock-entry block sort: one per doubling of the run width.
+ */
+constexpr int
+mergeLevels(uint64_t n)
+{
+    int levels = 0;
+    for (uint64_t width = kBitonicBlock; width < n; width <<= 1)
+        ++levels;
+    return levels;
+}
+
 /** Vectorized merge of two sorted runs, per element per level. */
 constexpr double kMergeNsPerElem = 2.5;
 

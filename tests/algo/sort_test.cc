@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <vector>
 
@@ -41,34 +40,6 @@ expectSortedPermutation(const std::vector<KpEntry> &in,
         --bag[{e.key, e.row}];
     for (const auto &[k, v] : bag)
         ASSERT_EQ(v, 0) << "multiset mismatch";
-}
-
-TEST(BitonicSort, SortsAllPowerOfTwoSizes)
-{
-    for (size_t n : {2, 4, 8, 16, 32, 64}) {
-        auto v = randomEntries(n, 42 + n);
-        auto orig = v;
-        bitonicSortPow2(v.data(), n);
-        expectSortedPermutation(orig, v);
-    }
-}
-
-TEST(BitonicSort, HandlesDuplicateKeys)
-{
-    auto v = randomEntries(64, 7, /*key_range=*/4);
-    auto orig = v;
-    bitonicSortPow2(v.data(), 64);
-    expectSortedPermutation(orig, v);
-}
-
-TEST(SortBlock, TailSizesUseInsertionSort)
-{
-    for (size_t n : {0, 1, 3, 17, 63}) {
-        auto v = randomEntries(n, 100 + n);
-        auto orig = v;
-        sortBlock(v.data(), n);
-        expectSortedPermutation(orig, v);
-    }
 }
 
 TEST(MergeRuns, MergesTwoSortedRuns)
@@ -111,21 +82,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SortRunTest,
                                            129, 1000, 4096, 8191, 10000,
                                            65536, 100001));
 
-TEST(SortRun, ResultLandsInDataForBothMergeParities)
-{
-    // The ping-pong parity is precomputed so no final copy-back pass
-    // runs: verify `data` holds the sorted result on either side of
-    // every level-count boundary.
-    for (size_t n : {65ul, 128ul, 129ul, 256ul, 257ul, 8192ul, 8193ul}) {
-        SCOPED_TRACE(n);
-        auto v = randomEntries(n, 7000 + n);
-        auto orig = v;
-        std::vector<KpEntry> scratch(n);
-        sortRun(v.data(), n, scratch.data());
-        expectSortedPermutation(orig, v);
-    }
-}
-
 TEST(SortRun, AlreadySortedStaysSorted)
 {
     auto v = randomEntries(5000, 5);
@@ -146,15 +102,6 @@ TEST(SortRun, HeavilySkewedKeysSortCorrectly)
     std::vector<KpEntry> scratch(v.size());
     sortRun(v.data(), v.size(), scratch.data());
     expectSortedPermutation(orig, v);
-}
-
-TEST(MergeLevels, CountsPassesAboveBlockSort)
-{
-    EXPECT_EQ(mergeLevels(64), 0);
-    EXPECT_EQ(mergeLevels(65), 1);
-    EXPECT_EQ(mergeLevels(128), 1);
-    EXPECT_EQ(mergeLevels(129), 2);
-    EXPECT_EQ(mergeLevels(64 * 1024), 10);
 }
 
 TEST(MergePathSplit, SplitsProduceValidPrefixes)
@@ -218,11 +165,11 @@ TEST(MergePathSplit, ParallelMergeViaSplitsEqualsSequentialMerge)
  */
 TEST(SortRun, NearlySortedOneInversionStillSortsCorrectly)
 {
-    const size_t n = 5000; // several merge levels above the blocks
-    // Inversion positions: front, inside the first block, straddling
-    // a block boundary, mid-array, and the very last pair.
+    const size_t n = 5000; // keys span two 11-bit radix digits
+    // Inversion positions: front, early, straddling 64, mid-array,
+    // and the very last pair.
     for (const size_t p :
-         {size_t{0}, size_t{30}, kSortBlock - 1, n / 2, n - 2}) {
+         {size_t{0}, size_t{30}, size_t{63}, n / 2, n - 2}) {
         std::vector<KpEntry> v(n), scratch(n);
         for (size_t i = 0; i < n; ++i)
             v[i] = KpEntry{i, reinterpret_cast<uint64_t *>(i + 1)};
@@ -239,40 +186,64 @@ TEST(SortRun, NearlySortedOneInversionStillSortsCorrectly)
     }
 }
 
-/** Same regression with duplicate keys and the parallel kernel. */
-TEST(SortRun, NearlySortedWithDuplicatesMatchesSerialAtAllThreads)
+/**
+ * The sort contract: sortRun leaves exactly what std::stable_sort
+ * leaves, keys and row pointers (identity tags) alike, so the order
+ * of equal keys is the input order. Shapes cover every radix-pass
+ * count, a span straddling one digit boundary, bit 63 set, and the
+ * presorted early return next to inputs it must not take.
+ */
+TEST(SortRun, MatchesStdStableSort)
 {
-    const size_t n = (size_t{1} << 15) + 100; // above parallel min
-    std::vector<KpEntry> base(n);
-    for (size_t i = 0; i < n; ++i)
-        base[i] =
-            KpEntry{i / 8, reinterpret_cast<uint64_t *>(i + 1)};
-    std::swap(base[n / 3], base[n / 3 + 9]); // one out-of-place span
-    auto orig = base;
-    std::vector<KpEntry> scratch(n);
-    auto serial = base;
-    sortRun(serial.data(), n, scratch.data());
-    expectSortedPermutation(orig, serial);
-    for (const unsigned threads : {2u, 8u}) {
-        WorkerPool pool(threads);
-        auto par = base;
-        sortRunParallel(par.data(), n, scratch.data(), pool);
-        ASSERT_EQ(std::memcmp(par.data(), serial.data(),
-                              n * sizeof(KpEntry)),
-                  0)
-            << threads;
+    struct Shape
+    {
+        const char *name;
+        uint64_t (*key)(Rng &, size_t i, size_t n);
+    };
+    const Shape shapes[] = {
+        {"all-equal", [](Rng &, size_t, size_t) { return uint64_t{7}; }},
+        {"below-2^11",
+         [](Rng &r, size_t, size_t) { return r.nextBounded(1u << 11); }},
+        {"straddles-2^11",
+         [](Rng &r, size_t, size_t) {
+             return (uint64_t{1} << 11) - 8 + r.nextBounded(16);
+         }},
+        {"below-2^20",
+         [](Rng &r, size_t, size_t) { return r.nextBounded(1u << 20); }},
+        {"full-64-bit", [](Rng &r, size_t, size_t) { return r.next(); }},
+        {"bit-63-mixed",
+         [](Rng &r, size_t, size_t) {
+             return (r.next() & (uint64_t{1} << 63)) | r.nextBounded(64);
+         }},
+        {"presorted",
+         [](Rng &, size_t i, size_t) { return uint64_t{i} / 3; }},
+        {"reverse-sorted",
+         [](Rng &, size_t i, size_t n) { return uint64_t{n - i} / 3; }},
+        {"one-inversion",
+         [](Rng &, size_t i, size_t n) {
+             return uint64_t{i == n / 2 ? i + 1 : i == n / 2 + 1 ? i - 1 : i};
+         }},
+    };
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{63},
+                           size_t{64}, size_t{65}, size_t{1000},
+                           size_t{50000}, size_t{1572864}}) {
+        for (const Shape &sh : shapes) {
+            SCOPED_TRACE(testing::Message() << sh.name << " n=" << n);
+            Rng rng(n + 17);
+            std::vector<KpEntry> v(n);
+            for (size_t i = 0; i < n; ++i)
+                v[i] = KpEntry{sh.key(rng, i, n),
+                               reinterpret_cast<uint64_t *>(i + 1)};
+            auto expect = v;
+            std::stable_sort(expect.begin(), expect.end());
+            std::vector<KpEntry> scratch(n);
+            sortRun(v.data(), n, scratch.data());
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(v[i].key, expect[i].key) << "at " << i;
+                ASSERT_EQ(v[i].row, expect[i].row) << "at " << i;
+            }
+        }
     }
-}
-
-TEST(CompareExchange, OrdersPairAndPreservesPayload)
-{
-    KpEntry a{5, reinterpret_cast<uint64_t *>(0xa)};
-    KpEntry b{3, reinterpret_cast<uint64_t *>(0xb)};
-    compareExchange(a, b);
-    EXPECT_EQ(a.key, 3u);
-    EXPECT_EQ(b.key, 5u);
-    EXPECT_EQ(a.row, reinterpret_cast<uint64_t *>(0xb));
-    EXPECT_EQ(b.row, reinterpret_cast<uint64_t *>(0xa));
 }
 
 } // namespace

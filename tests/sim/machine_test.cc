@@ -218,5 +218,14 @@ TEST(Machine, KnlConfigMatchesTable3)
     EXPECT_NEAR(knl.nic_ethernet_bw, 1.25e9, 1);
 }
 
+TEST(MergeLevels, CountsPassesAboveBlockSort)
+{
+    EXPECT_EQ(cost::mergeLevels(64), 0);
+    EXPECT_EQ(cost::mergeLevels(65), 1);
+    EXPECT_EQ(cost::mergeLevels(128), 1);
+    EXPECT_EQ(cost::mergeLevels(129), 2);
+    EXPECT_EQ(cost::mergeLevels(64 * 1024), 10);
+}
+
 } // namespace
 } // namespace sbhbm::sim
